@@ -1,25 +1,12 @@
-"""Benchmarks of the accel kernel layer and the payload transport.
+"""Benchmarks of the named hot-path kernels in ``repro.accel.reference``.
 
-One benchmark per registry kernel, run through ``accel.get_kernel`` at
-the backend the environment resolves (``REPRO_ACCEL``) -- so the same
-suite measures the numpy reference on a stock box and the numba overlay
-where it is installed, and ``compare.py`` turns the difference into a
-speedup table.  Each bench asserts its output against the numpy
-reference, so a backend that drifts numerically fails here before it
-fails a campaign.
-
-``test_perf_transport_*`` lock in the executor-transfer win: the
-shared-memory round trip of a multi-megabyte unit payload versus the
-pickle bytes it replaces.
+One benchmark per kernel, each at the shape its hottest call site
+runs, so ``compare.py`` gates every kernel against regression.
 """
-
-import pickle
 
 import numpy as np
 
-from repro import accel
 from repro.accel import reference
-from repro.runtime.transport import decode_payload, encode_payload
 
 _RNG = np.random.default_rng(123)
 
@@ -56,86 +43,40 @@ _X -= _X.mean()
 _LAG_HI = 181
 
 # beat_refractory_suppress at a heavily corrupted record (many spurious
-# candidates -- the O(c^2) worst case partial jamming produces).
+# candidates -- the worst case partial jamming produces).
 _CANDIDATES = _RNG.choice(_N_SAMPLES, size=200, replace=False).astype(np.int64)
 _STRENGTHS = _RNG.standard_normal(200)
 _CAND_DESC = _CANDIDATES[np.argsort(_STRENGTHS)[::-1]]
 
-# Executor-transfer payload: one fleet-sized unit result (~3.1 MB).
-_PAYLOAD = {
-    "samples": _RNG.standard_normal((400, 768)),
-    "mask": _RNG.integers(0, 2, size=(400, 768)).astype(bool),
-    "meta": {"unit": 7, "n_records": 400},
-}
-
 
 def test_perf_accel_jam_tone_colour(benchmark):
-    kernel = accel.get_kernel("jam_tone_colour")
-    out = benchmark(kernel, _FACTOR, _DRAWS)
+    out = benchmark(reference.jam_tone_colour, _FACTOR, _DRAWS)
     assert out.shape == (40, 250, 2)
-    np.testing.assert_allclose(
-        out, reference.jam_tone_colour(_FACTOR, _DRAWS), rtol=1e-12, atol=1e-12
-    )
 
 
 def test_perf_accel_fsk_coherent_bits(benchmark):
-    kernel = accel.get_kernel("fsk_coherent_bits")
-    out = benchmark(kernel, _CHUNKS, _CORRELATORS, 1)
-    assert np.array_equal(
-        out, reference.fsk_coherent_bits(_CHUNKS, _CORRELATORS, 1)
-    )
+    out = benchmark(reference.fsk_coherent_bits, _CHUNKS, _CORRELATORS, 1)
+    assert out.shape == (250,)
+    assert set(out.tolist()) <= {0, 1}
 
 
 def test_perf_accel_ecg_wave_accumulate(benchmark):
-    kernel = accel.get_kernel("ecg_wave_accumulate")
-
     def run():
         flat = np.zeros(_N_RECORDS * _N_SAMPLES)
-        kernel(flat, _RECORD_INDEX, _CENTERS, _AMPS, 0.055, 120.0, 27,
-               _N_SAMPLES)
+        reference.ecg_wave_accumulate(
+            flat, _RECORD_INDEX, _CENTERS, _AMPS, 0.055, 120.0, 27, _N_SAMPLES
+        )
         return flat
 
     out = benchmark(run)
-    expected = np.zeros(_N_RECORDS * _N_SAMPLES)
-    reference.ecg_wave_accumulate(
-        expected, _RECORD_INDEX, _CENTERS, _AMPS, 0.055, 120.0, 27, _N_SAMPLES
-    )
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+    assert out.any()
 
 
 def test_perf_accel_hr_autocorr(benchmark):
-    kernel = accel.get_kernel("hr_unbiased_autocorr")
-    out = benchmark(kernel, _X, _LAG_HI)
+    out = benchmark(reference.hr_unbiased_autocorr, _X, _LAG_HI)
     assert out.shape == (_LAG_HI + 1,)
-    np.testing.assert_allclose(
-        out, reference.hr_unbiased_autocorr(_X, _LAG_HI), rtol=1e-9, atol=1e-12
-    )
 
 
 def test_perf_accel_beat_suppress(benchmark):
-    kernel = accel.get_kernel("beat_refractory_suppress")
-    out = benchmark(kernel, _CAND_DESC, 30.0)
-    assert np.array_equal(
-        out, reference.beat_refractory_suppress(_CAND_DESC, 30.0)
-    )
-
-
-def test_perf_transport_shm_roundtrip(benchmark):
-    """Parent-side cost of shipping one large unit payload via shm."""
-
-    def round_trip():
-        return decode_payload(encode_payload(_PAYLOAD, min_bytes=0))
-
-    out = benchmark(round_trip)
-    assert np.array_equal(out["samples"], _PAYLOAD["samples"])
-    assert out["meta"] == _PAYLOAD["meta"]
-
-
-def test_perf_transport_pickle_roundtrip(benchmark):
-    """The pickle bytes the shm transport replaces, same payload."""
-
-    def round_trip():
-        return pickle.loads(pickle.dumps(_PAYLOAD, protocol=-1))
-
-    out = benchmark(round_trip)
-    assert np.array_equal(out["mask"], _PAYLOAD["mask"])
+    out = benchmark(reference.beat_refractory_suppress, _CAND_DESC, 30.0)
+    assert np.diff(np.sort(out)).min() >= 30

@@ -1,50 +1,35 @@
-"""Optional-dependency kernel acceleration for the simulation hot paths.
+"""The simulation's hot-path kernels, looked up by name.
 
-The four profiled hot kernels -- jam tone-correlation colouring, the
+The five profiled hot kernels -- jam tone-correlation colouring, the
 coherent-FSK vectorized demod, the ECG windowed scatter-add, and the
-attacker's autocorrelation-HR / beat-detection loop -- dispatch through
-one registry::
+attacker's autocorrelation-HR / beat-detection loop -- live in
+:mod:`repro.accel.reference` and are fetched per batch by name::
 
-    from repro import accel
-    kernel = accel.get_kernel("hr_unbiased_autocorr")
+    from repro.accel import get_kernel
+    kernel = get_kernel("hr_unbiased_autocorr")
 
-Backends: ``numpy`` (always present; bit-identical to the pre-accel
-code and therefore the determinism reference for every cache hash and
-golden verdict) and ``numba`` (a JIT overlay registered only when the
-optional dependency imports).  Select with ``REPRO_ACCEL=auto|numba|numpy``
-or the ``--accel`` CLI flag; ``auto`` (the default) degrades to numpy
-silently when numba is missing.
+The call sites bind ``get_kernel`` at import, so a profiling harness
+(``perfbench/traced.py``) can swap in a timed wrapper per module.
 
-See ``docs/performance.md`` for the architecture and the recipe for
-adding a kernel.
+See ``docs/performance.md`` for the recipe for adding a kernel.
 """
 
-from repro.accel.registry import (
-    ACCEL_ENV,
-    BACKENDS,
-    CHOICES,
-    available_backends,
-    get_kernel,
-    kernel_names,
-    numba_available,
-    register,
-    resolve_backend,
-    set_backend,
-)
-from repro.accel import reference  # noqa: F401  (registers numpy kernels)
+from typing import Callable
 
-if numba_available():  # pragma: no cover - exercised only with numba installed
-    from repro.accel import numba_backend  # noqa: F401
+from repro.accel import reference
 
-__all__ = [
-    "ACCEL_ENV",
-    "BACKENDS",
-    "CHOICES",
-    "available_backends",
-    "get_kernel",
-    "kernel_names",
-    "numba_available",
-    "register",
-    "resolve_backend",
-    "set_backend",
-]
+__all__ = ["get_kernel"]
+
+_KERNELS: dict[str, Callable] = {
+    name: getattr(reference, name) for name in reference.__all__
+}
+
+
+def get_kernel(name: str) -> Callable:
+    """The kernel function registered under ``name``."""
+    try:
+        return _KERNELS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown kernel {name!r}; known: {', '.join(sorted(_KERNELS))}"
+        ) from None

@@ -1,16 +1,10 @@
-"""Numpy reference kernels: the pinned semantics of every hot path.
+"""Numpy kernels: the pinned semantics of every hot path.
 
-Each function here is the exact numpy code its call site ran before the
-accel layer existed, extracted verbatim behind a registry name.  That
-makes the numpy backend *bit-identical* to the pre-accel repo: campaign
-cache hashes, golden Expectation verdicts, and every parity test are
-unaffected by routing through the registry.
-
-The numba overlay (:mod:`repro.accel.numba_backend`) reimplements these
-contracts as compiled loops.  Where floating-point reassociation or libm
-differences make bit-identity infeasible, the overlay is tolerance-pinned
-against these references by the hypothesis parity suite
-(``tests/test_accel_parity.py``).
+Campaign cache hashes and golden Expectation verdicts are pinned to the
+numbers these functions return, so a change here must keep them
+bit-identical.  The hypothesis parity suite
+(``tests/test_accel_parity.py``) pins each kernel against the inline
+expression it was extracted from.
 
 Kernel contracts
 ----------------
@@ -18,8 +12,7 @@ Kernel contracts
 ``jam_tone_colour(factor, draws)``
     ``(n_bits, 2, 2)`` complex colouring factors applied per bin to
     ``(count, n_bits, 2)`` i.i.d. complex draws; returns the coloured
-    ``(count, n_bits, 2)`` spectrum (the IFFT stays at the call site --
-    FFTs remain numpy's job under every backend).
+    ``(count, n_bits, 2)`` spectrum (the IFFT stays at the call site).
 
 ``fsk_coherent_bits(chunks, correlators, h)``
     Coherent FSK decision for integer modulation index ``h``:
@@ -38,15 +31,16 @@ Kernel contracts
 ``beat_refractory_suppress(candidates_desc, refractory)``
     Greedy refractory suppression over peak candidates already sorted
     strongest-first; returns the kept sample indices in acceptance
-    order (the caller sorts).  Pure integer/float comparisons, so every
-    backend is exactly deterministic here.
+    order (the caller sorts).  Only the nearest kept index on each side
+    of a candidate can violate the window, so the check bisects the
+    sorted kept indices and compares those two.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from bisect import bisect_left, insort
 
-from repro.accel.registry import register
+import numpy as np
 
 __all__ = [
     "jam_tone_colour",
@@ -57,12 +51,10 @@ __all__ = [
 ]
 
 
-@register("jam_tone_colour", "numpy")
 def jam_tone_colour(factor: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return (factor[None] @ draws[..., None])[..., 0]
 
 
-@register("fsk_coherent_bits", "numpy")
 def fsk_coherent_bits(
     chunks: np.ndarray, correlators: np.ndarray, h: int
 ) -> np.ndarray:
@@ -75,7 +67,6 @@ def fsk_coherent_bits(
     return (metrics[:, 1] > metrics[:, 0]).astype(np.int64)
 
 
-@register("ecg_wave_accumulate", "numpy")
 def ecg_wave_accumulate(
     flat: np.ndarray,
     record_index: np.ndarray,
@@ -95,7 +86,6 @@ def ecg_wave_accumulate(
     np.add.at(flat, flat_idx[valid], values[valid])
 
 
-@register("hr_unbiased_autocorr", "numpy")
 def hr_unbiased_autocorr(x: np.ndarray, lag_hi: int) -> np.ndarray:
     n = len(x)
     ac = np.correlate(x, x, mode="full")[n - 1:]
@@ -104,12 +94,16 @@ def hr_unbiased_autocorr(x: np.ndarray, lag_hi: int) -> np.ndarray:
     return ac[: lag_hi + 1]
 
 
-@register("beat_refractory_suppress", "numpy")
 def beat_refractory_suppress(
     candidates_desc: np.ndarray, refractory: float
 ) -> np.ndarray:
     kept: list[int] = []
-    for idx in candidates_desc:
-        if all(abs(idx - k) >= refractory for k in kept):
-            kept.append(int(idx))
+    ordered: list[int] = []  # ``kept``, sorted
+    for idx in candidates_desc.tolist():
+        pos = bisect_left(ordered, idx)
+        right_ok = pos == len(ordered) or ordered[pos] - idx >= refractory
+        left_ok = pos == 0 or idx - ordered[pos - 1] >= refractory
+        if right_ok and left_ok:
+            kept.append(idx)
+            insort(ordered, idx)
     return np.array(kept, dtype=np.int64)

@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.accel import resolve_backend as resolve_accel_backend
 from repro.campaigns.cache import ResultCache, default_cache_dir, unit_hash
 from repro.campaigns.spec import SCHEMA_VERSION, Scenario
 from repro.channel.geometry import TestbedGeometry
@@ -859,13 +858,6 @@ class CampaignRunner:
         """The run manifest: what ran, resolved how, at which versions."""
         from repro import __version__ as package_version
 
-        try:
-            accel_backend = resolve_accel_backend()
-        except RuntimeError:
-            # REPRO_ACCEL names a backend this interpreter cannot
-            # import; the failure surfaces where kernels dispatch, not
-            # in the manifest write.
-            accel_backend = "unresolved"
         scenario = self.scenario
         return {
             "scenario": scenario.name,
@@ -879,8 +871,6 @@ class CampaignRunner:
             "effective_workers": 1 if forced_serial else self.executor.workers,
             "forced_serial": forced_serial,
             "profile": self.profile,
-            "transport": self.executor.transport,
-            "accel_backend": accel_backend,
             "cache_backend": (
                 self.cache.backend if self.cache is not None else None
             ),
@@ -1036,7 +1026,7 @@ class CampaignRunner:
                 )
                 # Worker deltas rode back per unit; fold in whatever the
                 # parent process itself accumulated (cache IO, serial
-                # evaluation, transport encodes).
+                # evaluation).
                 run_metrics.merge_payload(take_global())
                 tracer.emit("metrics", metrics=run_metrics.to_payload())
         if not collect:

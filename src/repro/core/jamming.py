@@ -130,8 +130,6 @@ class ShapedJammer:
         # (one flat draw viewed as complex; the 1/sqrt(2) component scale
         # and all deterministic gains are folded into the cached factor).
         draws = self.rng.standard_normal((count, n_bits, 4)).view(np.complex128)
-        # The per-bin 2x2 colouring dispatches through the accel
-        # registry; the IFFT stays numpy's job under every backend.
         coloured = get_kernel("jam_tone_colour")(factor, draws)
         correlations = np.fft.ifft(coloured, axis=1)
         if power != 1.0:

@@ -290,24 +290,23 @@ class LiveServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request_line = await asyncio.wait_for(
-                reader.readline(), timeout=10.0
-            )
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2 or parts[0] != "GET":
+            try:
+                path = await self._read_request(reader)
+            except ValueError:
+                # readline() past the reader's 64 KiB limit.
+                counter_inc("live.oversized_requests")
+                _log.warning("rejected a request line or header over 64 KiB")
+                await self._respond(
+                    writer, "431 Request Header Fields Too Large",
+                    "text/plain", b"request line or header too long\n",
+                )
+                return
+            if path is None:
                 await self._respond(
                     writer, "405 Method Not Allowed", "text/plain",
                     b"GET only\n",
                 )
                 return
-            path = parts[1].split("?")[0]
-            # Drain (and ignore) the request headers.
-            while True:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=10.0
-                )
-                if line in (b"\r\n", b"\n", b""):
-                    break
 
             if path == "/events":
                 await self._stream_events(writer)
@@ -345,6 +344,18 @@ class LiveServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
+
+    @staticmethod
+    async def _read_request(reader: asyncio.StreamReader) -> str | None:
+        """The path of a GET request (headers drained), else ``None``."""
+        request_line = await asyncio.wait_for(reader.readline(), timeout=10.0)
+        parts = request_line.decode("latin-1").split()
+        if len(parts) < 2 or parts[0] != "GET":
+            return None
+        while True:  # drain (and ignore) the request headers
+            line = await asyncio.wait_for(reader.readline(), timeout=10.0)
+            if line in (b"\r\n", b"\n", b""):
+                return parts[1].split("?")[0]
 
     async def _respond(
         self, writer: asyncio.StreamWriter, status: str, ctype: str,

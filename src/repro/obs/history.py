@@ -51,7 +51,7 @@ HISTORY_SCHEMA_VERSION = 1
 
 #: Manifest fields worth carrying into the index (enough to explain a
 #: regression without re-opening the trace: what ran, how parallel, on
-#: which backends, at which revision).
+#: which cache backend, at which revision).
 _MANIFEST_FIELDS = (
     "role",
     "worker_id",
@@ -60,8 +60,6 @@ _MANIFEST_FIELDS = (
     "workers",
     "effective_workers",
     "cache_backend",
-    "accel_backend",
-    "transport",
     "schema_version",
     "package_version",
     "git_revision",

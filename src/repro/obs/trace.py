@@ -1,16 +1,16 @@
 """Span-based structured tracing: one JSONL file per campaign run.
 
 A traced run writes ``<cache>/runs/<run_id>/trace.jsonl``: the first
-line is the *run manifest* (what ran, with which resolved backends, at
-which versions), every following line one event.  Events are flat JSON
-objects with two reserved fields -- ``type`` and ``t`` (seconds since
-the manifest, monotonic) -- so the file streams through ``jq`` and
-loads line-by-line without a schema library:
+line is the *run manifest* (what ran, with which resolved cache
+backend, at which versions), every following line one event.  Events
+are flat JSON objects with two reserved fields -- ``type`` and ``t``
+(seconds since the manifest, monotonic) -- so the file streams through
+``jq`` and loads line-by-line without a schema library:
 
 ``manifest``
     scenario name/hash/kind, seed, trial budget, grid size, resolved
-    accel/transport/cache backends, worker count, forced-serial fact,
-    schema/package versions, git revision, ISO start time.
+    cache backend, worker count, forced-serial fact, schema/package
+    versions, git revision, ISO start time.
 ``unit``
     one span per work unit: cache ``status`` (hit / computed), queue ->
     execute -> flush stage durations, worker pid, payload bytes, the

@@ -285,9 +285,6 @@ class CoherentFSKDemodulator:
     ) -> np.ndarray:
         spb = self.config.samples_per_bit
         chunks = waveform.samples[: n_bits * spb].reshape(n_bits, spb)
-        # Correlate + rotate + decide in one registry kernel (the numpy
-        # reference keeps the exact matmul/rotation maths of the
-        # pre-accel path).
         return get_kernel("fsk_coherent_bits")(
             chunks, _tone_matrix(self.config), h
         )

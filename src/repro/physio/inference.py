@@ -124,7 +124,7 @@ def estimate_heart_rate(
             f"record too short for the HR search range: {n} samples at "
             f"{sample_rate_hz:g} Hz"
         )
-    # Unbiased autocorrelation through the accel registry; the search
+    # Unbiased autocorrelation through a named kernel; the search
     # below never reads past lag_max + 1 (the parabolic neighbour), so
     # the kernel only computes that prefix.
     ac = get_kernel("hr_unbiased_autocorr")(x, lag_max + 1)
@@ -181,8 +181,8 @@ def detect_beats(
     refractory = config.refractory_s * sample_rate_hz
     # Strongest first; a weaker peak inside a kept peak's refractory
     # window (e.g. a T wave) is suppressed.  The ordering is computed
-    # here (numpy argsort, identical under every backend) so the
-    # suppression kernel reduces to exact integer/float comparisons.
+    # here (numpy argsort) so the suppression kernel reduces to exact
+    # integer/float comparisons.
     order = np.argsort(x[candidates])[::-1]
     kept = get_kernel("beat_refractory_suppress")(
         candidates[order].astype(np.int64), float(refractory)

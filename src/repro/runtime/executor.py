@@ -19,13 +19,6 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from repro.obs.metrics import counter_inc, observed_call
-from repro.runtime.transport import (
-    DEFAULT_MIN_BYTES,
-    decode_payload,
-    encode_payload,
-    resolve_transport,
-    shm_call,
-)
 
 __all__ = ["SweepExecutor", "resolve_workers"]
 
@@ -81,21 +74,9 @@ class SweepExecutor:
         pool-side batching never depends on which entry point ran the
         sweep.  Irrelevant in serial mode (validated anyway: the same
         constructor arguments must be legal at any worker count).
-    transport:
-        How unit payloads travel to and from workers: ``"pickle"``,
-        ``"shm"`` (ndarrays ride ``multiprocessing.shared_memory``
-        blocks), or ``"auto"`` (shared memory only for payloads whose
-        arrays exceed the size threshold).  ``None`` defers to
-        ``REPRO_TRANSPORT``, defaulting to ``auto``.  The transport
-        never changes results -- only copies.
     """
 
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunksize: int = 1,
-        transport: str | None = None,
-    ):
+    def __init__(self, workers: int | None = None, chunksize: int = 1):
         self.workers = resolve_workers(workers)
         if isinstance(chunksize, bool) or not isinstance(chunksize, int):
             raise ValueError(
@@ -106,7 +87,6 @@ class SweepExecutor:
                 f"chunksize must be at least 1, got {chunksize}"
             )
         self.chunksize = chunksize
-        self.transport = resolve_transport(transport)
         self._pool: ProcessPoolExecutor | None = None
         #: Optional per-unit completion hook: called (no arguments,
         #: exceptions swallowed) once per result :meth:`imap` yields,
@@ -171,17 +151,16 @@ class SweepExecutor:
                 yield result
             return
         counter_inc("executor.pool_units", len(units))
-        fn, units = self._apply_transport(fn, units)
         if self._pool is not None:  # inside a pool_session
             for result in self._pool.map(fn, units, chunksize=self.chunksize):
                 self._notify_unit()
-                yield decode_payload(result)
+                yield result
             return
         max_workers = min(self.workers, len(units))
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             for result in pool.map(fn, units, chunksize=self.chunksize):
                 self._notify_unit()
-                yield decode_payload(result)
+                yield result
 
     def _notify_unit(self) -> None:
         """Fire the per-unit hook; a broken observer never breaks a sweep."""
@@ -202,28 +181,10 @@ class SweepExecutor:
         carries the worker's pid, monotonic start, execute seconds,
         and the worker's metrics delta -- shipped back through the
         exact result path :meth:`imap` uses (same pickling, same
-        shared-memory transport, same submission order), which is what
-        keeps serial and parallel observability output identical in
-        shape.  Results themselves are untouched: evaluation order,
+        submission order), which is what keeps serial and parallel
+        observability output identical in shape.  Results themselves are untouched: evaluation order,
         RNG streams, and values match :meth:`imap` bit for bit.
         """
         wrapped = partial(observed_call, fn)
         for envelope in self.imap(wrapped, units):
             yield envelope["result"], envelope["obs"]
-
-    def _apply_transport(
-        self, fn: Callable[[T], R], units: list[T]
-    ) -> tuple[Callable, list]:
-        """Wrap a parallel map in the configured payload transport.
-
-        The pickle transport is the identity.  Otherwise unit inputs are
-        encoded here (in the parent), the worker-side wrapper decodes
-        them and encodes results, and :meth:`imap` decodes results as it
-        yields -- with ``auto``, payloads below the size threshold skip
-        encoding entirely, so the pickle path stays exercised.
-        """
-        if self.transport == "pickle":
-            return fn, units
-        min_bytes = 0 if self.transport == "shm" else DEFAULT_MIN_BYTES
-        encoded = [encode_payload(unit, min_bytes) for unit in units]
-        return partial(shm_call, fn, min_bytes=min_bytes), encoded

@@ -158,65 +158,6 @@ class TestCompare:
             main(["compare", "attack-success-shielded", "passive-ber-by-location"])
 
 
-class TestAccelFlag:
-    @pytest.fixture(autouse=True)
-    def _reset_backend(self):
-        from repro import accel
-
-        yield
-        accel.set_backend(None)
-
-    def test_accel_numpy_runs(self, capsys, tmp_path):
-        from repro import accel
-
-        out = _run(
-            capsys,
-            "run", "attack-success-shielded",
-            "--trials", "2", "--locations", "1,8",
-            "--cache-dir", str(tmp_path), "--accel", "numpy",
-        )
-        assert "units: 2 total" in out
-        assert accel.resolve_backend() == "numpy"
-
-    def test_accel_results_match_default(self, capsys, tmp_path):
-        forced = json.loads(_run(
-            capsys,
-            "run", "attack-success-unshielded",
-            "--trials", "2", "--locations", "1,4",
-            "--cache-dir", str(tmp_path / "forced"),
-            "--accel", "numpy", "--format", "json",
-        ))
-        default = json.loads(_run(
-            capsys,
-            "run", "attack-success-unshielded",
-            "--trials", "2", "--locations", "1,4",
-            "--cache-dir", str(tmp_path / "default"), "--format", "json",
-        ))
-        from repro import accel
-
-        if accel.numba_available():
-            # Tolerance-pinned: numba may reassociate float sums.
-            for a, b in zip(forced["points"], default["points"]):
-                assert abs(a["success_probability"]
-                           - b["success_probability"]) < 1e-9
-        else:
-            assert forced["points"] == default["points"]
-
-    def test_accel_numba_missing_is_a_clean_error(self, capsys):
-        from repro import accel
-
-        if accel.numba_available():
-            pytest.skip("numba installed; missing-dependency leg n/a")
-        assert main(["run", "attack-success-shielded", "--trials", "1",
-                     "--accel", "numba", "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert "numba is not installed" in err
-
-    def test_accel_rejects_unknown_backend(self, capsys):
-        with pytest.raises(SystemExit):  # argparse choices
-            main(["run", "attack-success-shielded", "--accel", "cuda"])
-
-
 class TestProfileFlag:
     def test_profile_writes_loadable_pstats(self, capsys, tmp_path):
         import pstats

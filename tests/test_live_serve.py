@@ -12,6 +12,8 @@ campaign exporter.
 
 import asyncio
 import json
+import socket
+import time
 
 import pytest
 
@@ -296,6 +298,45 @@ class TestLiveServer:
 
         raw = asyncio.run(scenario())
         assert b"405" in raw.split(b"\r\n", 1)[0]
+
+    def test_oversized_request_line_gets_431(self):
+        """A line past the 64 KiB stream limit is answered, not crashed on."""
+
+        def raw_request(port, *parts):
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as s:
+                for part in parts:
+                    s.sendall(part)
+                    time.sleep(0.05)
+                chunks = []
+                while chunk := s.recv(65536):
+                    chunks.append(chunk)
+            return b"".join(chunks)
+
+        async def scenario():
+            loop_errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: loop_errors.append(context)
+            )
+            server = LiveServer(_engine())
+            await server.start()
+            try:
+                oversized = await asyncio.to_thread(
+                    raw_request, server.port,
+                    b"GET /" + b"a" * (70 * 1024),
+                    b" HTTP/1.1\r\nHost: t\r\n\r\n",
+                )
+                status = await _get(server, "/status")
+            finally:
+                await server.stop()
+            return oversized, status, loop_errors
+
+        oversized, (status, body), loop_errors = asyncio.run(scenario())
+        assert oversized.split(b"\r\n", 1)[0] == (
+            b"HTTP/1.1 431 Request Header Fields Too Large"
+        )
+        assert loop_errors == []
+        assert status == 200
+        assert json.loads(body)["n_patients"] == _CFG.n_patients
 
     def test_rejects_bad_flush_interval(self):
         with pytest.raises(ValueError):

@@ -162,8 +162,6 @@ class TestTracedCampaign:
         assert manifest["total_units"] == 2
         assert manifest["workers"] == 1
         assert manifest["forced_serial"] is False
-        assert manifest["transport"] in ("auto", "pickle", "shm")
-        assert manifest["accel_backend"] in ("numpy", "numba", "unresolved")
         assert manifest["cache_backend"] == "filesystem"
         for key in ("schema_version", "package_version", "python_version",
                     "numpy_version", "started_at"):

@@ -17,6 +17,30 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _scale_block(unit: dict) -> dict:
+    """Module-level so it pickles into pool workers."""
+    return {
+        "index": unit["index"],
+        "mean": float(unit["block"].mean()),
+        "scaled": unit["block"] * 2.0,
+    }
+
+
+def _block_units(n: int = 6, size: int = 4096) -> list[dict]:
+    rng = np.random.default_rng(42)
+    return [
+        {"index": i, "block": rng.standard_normal(size)} for i in range(n)
+    ]
+
+
+def _assert_same_blocks(expected: list[dict], got: list[dict]) -> None:
+    assert len(got) == len(expected)
+    for a, b in zip(expected, got):
+        assert a["index"] == b["index"]
+        assert a["mean"] == b["mean"]
+        np.testing.assert_array_equal(a["scaled"], b["scaled"])
+
+
 class TestResolveWorkers:
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -101,6 +125,20 @@ class TestSweepExecutor:
             b = executor.map(_square, units)
         assert executor._pool is None  # torn down on exit
         assert a == b == [x * x for x in units]
+
+    def test_parallel_ndarray_payloads_match_serial(self):
+        serial = SweepExecutor(1).map(_scale_block, _block_units())
+        pooled = SweepExecutor(2).map(_scale_block, _block_units())
+        _assert_same_blocks(serial, pooled)
+
+    def test_pool_session_ndarray_payloads_match_serial(self):
+        serial = SweepExecutor(1).map(_scale_block, _block_units())
+        executor = SweepExecutor(2)
+        with executor.pool_session():
+            first = executor.map(_scale_block, _block_units())
+            second = executor.map(_scale_block, _block_units())
+        _assert_same_blocks(serial, first)
+        _assert_same_blocks(serial, second)
 
     def test_pool_session_noop_in_serial_mode(self):
         executor = SweepExecutor(1)
